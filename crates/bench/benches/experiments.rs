@@ -108,7 +108,7 @@ fn hotpath(c: &mut Criterion) {
 /// E15 — event-runtime scaling kernels at criterion-friendly sizes.
 ///
 /// The kernels live in [`selfsim_bench::escale`] so the `escale` binary
-/// (which emits `BENCH_10.json` in CI, sweeping up to a million agents)
+/// (which emits `BENCH_12.json` in CI, sweeping up to a million agents)
 /// times exactly this code.
 fn escale(c: &mut Criterion) {
     use selfsim_bench::escale as kernels;

@@ -119,7 +119,7 @@ pub mod hotpath {
 /// The E-series event-runtime scaling kernels: full [`EventSimulator`]
 /// runs at large `n`, shared between the criterion benches
 /// (`benches/experiments.rs`, reduced sizes) and the `escale` binary that
-/// emits `BENCH_10.json` in CI (up to a million agents).  Construction
+/// emits `BENCH_12.json` in CI (up to a million agents).  Construction
 /// (`new`) is setup and excluded from timing; `run` is one measured
 /// iteration.
 ///
@@ -157,7 +157,7 @@ pub mod escale {
     }
 
     impl EscaleTopology {
-        /// The label used in `BENCH_10.json` and the criterion group.
+        /// The label used in `BENCH_12.json` and the criterion group.
         pub fn label(self) -> &'static str {
             match self {
                 EscaleTopology::CompleteStatic => "complete-static",
@@ -178,8 +178,10 @@ pub mod escale {
         }
 
         /// Largest size this cell is swept at.  The churn cell stops at
-        /// 10^5: generating and churning a random sparse graph at 10^6
-        /// measures the RNG more than the connectivity core.
+        /// 10^5 for memory, not speed: at 10^6 its ~8·10^6-edge graph (edge
+        /// set, CSR adjacency and per-edge masks) would peak near 0.9 GB,
+        /// crowding the 1024 MiB `--assert-peak-rss-mb` bound CI runs
+        /// `escale` under.
         pub fn max_n(self) -> usize {
             match self {
                 EscaleTopology::CompleteStatic | EscaleTopology::PartitionedRing => 1_000_000,

@@ -20,8 +20,10 @@ use crate::{Edge, Topology};
 /// array mapping each adjacency entry to its dense edge id.
 ///
 /// Edge ids are assigned in ascending [`Edge`] order (the iteration order of
-/// the topology's sorted edge set), so `edges[id]` recovers the edge and a
-/// binary search recovers the id.
+/// the topology's sorted edge set), so `edges[id]` recovers the edge.  Rows
+/// are filled in edge-id order, which lists each agent's neighbours in
+/// ascending order, so a binary search within the lower endpoint's row
+/// recovers the id.
 #[derive(Debug)]
 pub struct Csr {
     n: usize,
@@ -93,8 +95,14 @@ impl Csr {
     }
 
     /// The dense id of `edge`, or `None` if it is not in the topology.
+    /// Searches one sorted row, not the whole edge list.
     pub fn edge_id(&self, edge: &Edge) -> Option<u32> {
-        self.edges.binary_search(edge).ok().map(|i| i as u32)
+        let lo = edge.lo().index();
+        let start = *self.xadj.get(lo)? as usize;
+        let end = *self.xadj.get(lo + 1)? as usize;
+        let row = self.adj.get(start..end)?;
+        let k = row.binary_search(&(edge.hi().index() as u32)).ok()?;
+        self.adj_eid.get(start + k).copied()
     }
 
     /// Degree of agent `a` in the topology.
@@ -144,6 +152,11 @@ mod tests {
             csr.edge_id(&Edge::new(AgentId(2), AgentId(3))),
             None,
             "absent edge has no id"
+        );
+        assert_eq!(
+            csr.edge_id(&Edge::new(AgentId(4), AgentId(9))),
+            None,
+            "edge outside the agent range has no id"
         );
         assert_eq!(csr.degree(0), 2);
         assert_eq!(csr.degree(2), 1);

@@ -218,28 +218,37 @@ impl Environment for RandomChurnEnv {
     }
 
     fn step_delta(&mut self, rng: &mut dyn rand::RngCore) -> EnvDelta {
+        // The CSR edge list is the topology's edge set in the same
+        // ascending order `step` draws in, but flat.
+        let csr = self.topology.csr();
         if !self.delta_primed {
             self.delta_primed = true;
-            let state = self.step(rng);
-            self.cur_edges = self
-                .topology
+            // `step`'s draws, kept as the trackers: one Bernoulli per edge,
+            // then one per agent.
+            self.cur_edges = csr
                 .edges()
                 .iter()
-                .map(|e| state.enabled_edges().contains(e))
+                .map(|_| rng.gen_bool(self.p_edge))
                 .collect();
             self.cur_agents = self
                 .topology
                 .agents()
-                .map(|a| state.enabled_agents().contains(&a))
+                .map(|_| rng.gen_bool(self.p_agent))
                 .collect();
-            return EnvDelta::Full(state);
+            let edges = csr.edges().iter().zip(&self.cur_edges);
+            let agents = self.topology.agents().zip(&self.cur_agents);
+            return EnvDelta::Full(EnvState::new(
+                self.topology.agent_count(),
+                edges.filter(|(_, &on)| on).map(|(e, _)| *e),
+                agents.filter(|(_, &on)| on).map(|(a, _)| a),
+            ));
         }
         // Exactly one Bernoulli per edge (sorted order) then one per agent
         // (ascending order) — the same stream `step` consumes — recording
         // only the flips.  Churn is memoryless, so each draw *is* the next
         // enabled flag; the trackers exist purely to diff against.
         let mut changes = EnvChanges::default();
-        for (cur, e) in self.cur_edges.iter_mut().zip(self.topology.edges().iter()) {
+        for (cur, e) in self.cur_edges.iter_mut().zip(csr.edges()) {
             let up = rng.gen_bool(self.p_edge);
             if up != *cur {
                 *cur = up;

@@ -3,21 +3,34 @@
 //! A [`GroupIndex`] tracks the partition of agents into groups — connected
 //! components of the enabled subgraph restricted to enabled agents — under
 //! a stream of [`EnvChanges`] deltas, at cost proportional to the *change*
-//! rather than the graph:
+//! rather than the graph.  Alongside the partition it keeps a spanning
+//! forest of the usable subgraph (a `tree` flag per dense CSR edge id) as a
+//! connectivity certificate: every tree edge is usable, and each group's
+//! tree edges span it.  This is the stretch-∞ case of the sparse
+//! certificates a fully dynamic spanner maintains.
 //!
 //! - **edge up** merges two groups by splicing their sorted member lists
-//!   (a flat union-find-style merge keyed by smallest member);
-//! - **edge down** runs a bidirectional BFS confined to the affected
-//!   component, with epoch-stamped `visited: Vec<u32>` scratch instead of
-//!   fresh `BTreeSet`s, and splits only if the endpoints really separated;
-//! - **agent up/down** reduce to the two cases above plus a bounded
-//!   re-label of the touched component;
+//!   (keyed by smallest member); the merging edge becomes a tree edge, any
+//!   other upped edge is a non-tree edge;
+//! - **non-tree edge down** only flips the mask: the certificate still
+//!   spans every group, so the partition cannot have changed;
+//! - **tree edge down** runs a lockstep BFS over tree edges from both
+//!   endpoints until one side is exhausted — the smaller half — and scans
+//!   that side's usable edges for a replacement; the group splits only
+//!   when there is none.  A batch flips every mask first and then repairs
+//!   each downed tree edge against the final masks, keeping the edges not
+//!   yet repaired in the BFS as virtual tree edges, so the forest plus the
+//!   pending edges always spans each group;
+//! - **agent up** merges across each usable incident edge; **agent down**
+//!   repairs the agent's tree edges the same way and drops its (then
+//!   singleton) group;
 //! - [`EnvDelta::Full`](crate::EnvDelta::Full) falls back to one flat full
-//!   rescan ([`GroupIndex::reset_from_state`]).
+//!   rescan ([`GroupIndex::reset_from_state`]), which rebuilds the forest.
 //!
-//! Groups are always exposed sorted internally and ordered by smallest
-//! member — exactly the order [`EnvState::groups`] produces — so records
-//! derived from either path are byte-identical.
+//! Epoch-stamped `visited: Vec<u32>` scratch keeps every search free of
+//! per-delta allocation.  Groups are always exposed sorted internally and
+//! ordered by smallest member — exactly the order [`EnvState::groups`]
+//! produces — so records derived from either path are byte-identical.
 
 use std::sync::Arc;
 
@@ -27,12 +40,32 @@ use crate::{AgentId, Edge, EnvChanges, EnvState, Topology};
 
 const NONE: u32 = u32::MAX;
 
+/// Deterministic work counters of a [`GroupIndex`], cumulative since it
+/// was created.  Unlike wall-clock time they are exact, so a regression
+/// gate on them is free of machine noise.  Full rescans
+/// ([`GroupIndex::reset_from_state`], [`GroupIndex::reset_all_enabled`])
+/// are not counted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GroupWork {
+    /// Tree edges that stopped being usable (edge down, or an endpoint
+    /// going down); each costs one repair search.
+    pub tree_edge_downs: u64,
+    /// Agents expanded by the repair searches.
+    pub agents_visited: u64,
+    /// Incident edges examined while looking for replacement edges.
+    pub replacement_edges_scanned: u64,
+}
+
 /// Incrementally maintained agent partition (see module docs).
 #[derive(Debug)]
 pub struct GroupIndex {
     csr: Arc<Csr>,
     /// Enablement bitmask indexed by dense CSR edge id.
     edge_enabled: Vec<bool>,
+    /// Spanning-forest certificate indexed by dense CSR edge id.  Outside
+    /// a repair every tree edge is usable; during one, the tree edges that
+    /// are no longer usable are the pending (virtual) ones.
+    tree: Vec<bool>,
     /// Enablement bitmask indexed by agent index.
     agent_enabled: Vec<bool>,
     enabled_edge_count: usize,
@@ -52,6 +85,9 @@ pub struct GroupIndex {
     epoch: u32,
     queue_a: Vec<u32>,
     queue_b: Vec<u32>,
+    /// Tree edges awaiting repair (scratch).
+    pending: Vec<u32>,
+    work: GroupWork,
 }
 
 impl GroupIndex {
@@ -66,6 +102,7 @@ impl GroupIndex {
         let m = csr.edge_count();
         GroupIndex {
             edge_enabled: vec![false; m],
+            tree: vec![false; m],
             agent_enabled: vec![false; n],
             enabled_edge_count: 0,
             enabled_agent_count: 0,
@@ -78,6 +115,8 @@ impl GroupIndex {
             epoch: 0,
             queue_a: Vec::new(),
             queue_b: Vec::new(),
+            pending: Vec::new(),
+            work: GroupWork::default(),
             csr,
         }
     }
@@ -112,6 +151,11 @@ impl GroupIndex {
         self.usable_edge_count
     }
 
+    /// The work counters accumulated so far (see [`GroupWork`]).
+    pub fn work(&self) -> GroupWork {
+        self.work
+    }
+
     /// Reconstructs the equivalent [`EnvState`] (for trace recording and
     /// tests; not on the hot path).
     pub fn to_env_state(&self) -> EnvState {
@@ -129,6 +173,57 @@ impl GroupIndex {
             .filter(|(_, &on)| on)
             .map(|(i, _)| AgentId(i));
         EnvState::new(self.agent_count(), edges, agents)
+    }
+
+    /// Checks the spanning-forest certificate against the partition: every
+    /// tree edge is usable, there are exactly (enabled agents − groups)
+    /// tree edges, and each group's tree edges reach all of its members
+    /// and nothing else.  Costs O(n + m); a test oracle, never called on
+    /// the hot path.
+    pub fn check_certificate(&self) -> Result<(), String> {
+        let mut tree_edges = 0;
+        for (eid, e) in self.csr.edges().iter().enumerate() {
+            if !at(&self.tree, eid) {
+                continue;
+            }
+            tree_edges += 1;
+            if !self.usable(eid as u32) {
+                return Err(format!("tree edge {e} is not usable"));
+            }
+        }
+        let (agents, groups) = (self.enabled_agent_count, self.group_count());
+        if agents.checked_sub(groups) != Some(tree_edges) {
+            return Err(format!(
+                "{tree_edges} tree edges for {agents} enabled agents in {groups} groups"
+            ));
+        }
+        let mut seen = vec![false; self.agent_count()];
+        let mut stack = Vec::new();
+        for &slot in &self.order {
+            let min = self.slot_min(slot).index();
+            *at_mut(&mut seen, min) = true;
+            stack.push(min as u32);
+            let mut reached = 1;
+            while let Some(x) = stack.pop() {
+                for (nbr, eid) in self.csr.neighbors(x as usize) {
+                    if at(&self.tree, eid as usize) && !at(&seen, nbr as usize) {
+                        if at(&self.comp_of, nbr as usize) != slot {
+                            return Err(format!("a tree edge leaves the group of {min}"));
+                        }
+                        *at_mut(&mut seen, nbr as usize) = true;
+                        stack.push(nbr);
+                        reached += 1;
+                    }
+                }
+            }
+            let size = at_ref(&self.slots, slot as usize).len();
+            if reached != size {
+                return Err(format!(
+                    "tree edges reach {reached} of the {size} members of the group of {min}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Enables every edge and agent, then rescans.
@@ -223,14 +318,7 @@ impl GroupIndex {
     /// ones inserted, and redundant entries (downing a down edge, upping an
     /// up agent) are no-ops.
     pub fn apply_changes(&mut self, changes: &EnvChanges) {
-        // A lone downed edge gets the bounded bidirectional probe; a batch
-        // is resolved against the final masks with one re-label per affected
-        // component, so k edges leaving one component cost one sweep, not k.
-        match changes.edges_down.as_slice() {
-            [] => {}
-            [e] => self.edge_down(e),
-            batch => self.edges_down_batch(batch),
-        }
+        self.edges_down(&changes.edges_down);
         for e in &changes.edges_up {
             self.edge_up(e);
         }
@@ -251,36 +339,18 @@ impl GroupIndex {
         }
         *at_mut(&mut self.edge_enabled, eid as usize) = true;
         self.enabled_edge_count += 1;
-        let (a, b) = (e.lo().index(), e.hi().index());
-        if at(&self.agent_enabled, a) && at(&self.agent_enabled, b) {
+        if self.usable(eid) {
             self.usable_edge_count += 1;
-            self.merge_slots(at(&self.comp_of, a), at(&self.comp_of, b));
+            self.link(e.lo().index(), e.hi().index(), eid);
         }
     }
 
-    fn edge_down(&mut self, e: &Edge) {
-        let Some(eid) = self.csr.edge_id(e) else {
-            return;
-        };
-        if !at(&self.edge_enabled, eid as usize) {
-            return;
-        }
-        *at_mut(&mut self.edge_enabled, eid as usize) = false;
-        self.enabled_edge_count -= 1;
-        let (a, b) = (e.lo().index(), e.hi().index());
-        if at(&self.agent_enabled, a) && at(&self.agent_enabled, b) {
-            self.usable_edge_count -= 1;
-            self.resplit_after_edge_down(a as u32, b as u32);
-        }
-    }
-
-    /// Batched form of [`Self::edge_down`]: flips every mask first, then
-    /// re-labels each affected component once against the final masks.  The
-    /// result is the same partition the one-at-a-time path reaches (both are
-    /// the connected components of the final enabled subgraph, in
-    /// ascending-min order) without paying one bidirectional BFS per edge.
-    fn edges_down_batch(&mut self, edges: &[Edge]) {
-        let mut affected: Vec<u32> = Vec::new();
+    /// Flips every mask of the batch first, then repairs each downed tree
+    /// edge against the final masks.  Repairing one at a time as the masks
+    /// flip could pick as replacement an edge that goes down later in the
+    /// same batch, paying a second half-component search for it.
+    fn edges_down(&mut self, edges: &[Edge]) {
+        self.pending.clear();
         for e in edges {
             let Some(eid) = self.csr.edge_id(e) else {
                 continue; // outside the topology: unreachable by contract
@@ -288,27 +358,17 @@ impl GroupIndex {
             if !at(&self.edge_enabled, eid as usize) {
                 continue;
             }
+            let was_usable = self.usable(eid);
             *at_mut(&mut self.edge_enabled, eid as usize) = false;
             self.enabled_edge_count -= 1;
-            let (a, b) = (e.lo().index(), e.hi().index());
-            if at(&self.agent_enabled, a) && at(&self.agent_enabled, b) {
+            if was_usable {
                 self.usable_edge_count -= 1;
-                // A usable edge joins two enabled agents, so both endpoints
-                // sit in the same (pre-batch) component.
-                affected.push(at(&self.comp_of, a));
+                if at(&self.tree, eid as usize) {
+                    self.pending.push(eid);
+                }
             }
         }
-        affected.sort_unstable();
-        affected.dedup();
-        for slot in affected {
-            self.remove_from_order(slot);
-            let members = std::mem::take(at_mut(&mut self.slots, slot as usize));
-            self.free.push(slot);
-            for &m in &members {
-                *at_mut(&mut self.comp_of, m.index()) = NONE;
-            }
-            self.relabel_members(members.iter().copied());
-        }
+        self.repair_pending();
     }
 
     fn agent_up(&mut self, a: AgentId) {
@@ -323,11 +383,11 @@ impl GroupIndex {
         *at_mut(&mut self.comp_of, i) = slot;
         self.insert_into_order(slot);
         // Every usable incident edge now exists; merge across each.
-        let incident: Vec<(u32, u32)> = self.csr.neighbors(i).collect();
-        for (nbr, eid) in incident {
-            if at(&self.edge_enabled, eid as usize) && at(&self.agent_enabled, nbr as usize) {
+        let csr = Arc::clone(&self.csr);
+        for (nbr, eid) in csr.neighbors(i) {
+            if self.usable(eid) {
                 self.usable_edge_count += 1;
-                self.merge_slots(at(&self.comp_of, i), at(&self.comp_of, nbr as usize));
+                self.link(i, nbr as usize, eid);
             }
         }
     }
@@ -337,68 +397,160 @@ impl GroupIndex {
         if i >= self.agent_enabled.len() || !at(&self.agent_enabled, i) {
             return;
         }
-        *at_mut(&mut self.agent_enabled, i) = false;
-        self.enabled_agent_count -= 1;
-        let incident: Vec<(u32, u32)> = self.csr.neighbors(i).collect();
-        for (nbr, eid) in incident {
+        self.pending.clear();
+        for (nbr, eid) in self.csr.neighbors(i) {
             if at(&self.edge_enabled, eid as usize) && at(&self.agent_enabled, nbr as usize) {
                 self.usable_edge_count -= 1;
-            }
-        }
-        let slot = at(&self.comp_of, i);
-        *at_mut(&mut self.comp_of, i) = NONE;
-        // Remove the old group from the order, drop `a` from its members,
-        // and re-label what remains (it may fall apart into several groups).
-        self.remove_from_order(slot);
-        let members = std::mem::take(at_mut(&mut self.slots, slot as usize));
-        self.free.push(slot);
-        for &m in &members {
-            *at_mut(&mut self.comp_of, m.index()) = NONE;
-        }
-        self.relabel_members(members.iter().copied().filter(|&m| m != a));
-    }
-
-    /// Re-labels a set of enabled agents whose old group assignment was
-    /// cleared: BFS from each in ascending order (so new slots appear in
-    /// ascending-min order), then rebuild the sorted member lists.
-    fn relabel_members(&mut self, members: impl Iterator<Item = AgentId> + Clone) {
-        let mut pieces: Vec<(u32, AgentId)> = Vec::new();
-        for m in members.clone() {
-            if at(&self.comp_of, m.index()) != NONE {
-                continue;
-            }
-            let slot = self.alloc_slot(Vec::new());
-            *at_mut(&mut self.comp_of, m.index()) = slot;
-            self.queue_a.clear();
-            self.queue_a.push(m.index() as u32);
-            let mut head = 0;
-            while head < self.queue_a.len() {
-                let x = at(&self.queue_a, head);
-                head += 1;
-                for (nbr, eid) in self.csr.neighbors(x as usize) {
-                    if at(&self.edge_enabled, eid as usize)
-                        && at(&self.agent_enabled, nbr as usize)
-                        && at(&self.comp_of, nbr as usize) == NONE
-                    {
-                        *at_mut(&mut self.comp_of, nbr as usize) = slot;
-                        self.queue_a.push(nbr);
-                    }
+                if at(&self.tree, eid as usize) {
+                    self.pending.push(eid);
                 }
             }
-            // `m` is the smallest member of its piece (ascending scan over a
-            // sorted member list).
-            pieces.push((slot, m));
         }
-        // Second pass in ascending member order keeps every list sorted.
-        for m in members {
-            let slot = at(&self.comp_of, m.index());
-            at_mut(&mut self.slots, slot as usize).push(m);
+        *at_mut(&mut self.agent_enabled, i) = false;
+        self.enabled_agent_count -= 1;
+        // With its tree edges repaired, `a` is alone in its group: its
+        // edges are unusable, so no replacement can reach it.
+        self.repair_pending();
+        let slot = at(&self.comp_of, i);
+        self.remove_from_order(slot);
+        at_mut(&mut self.slots, slot as usize).clear();
+        self.free.push(slot);
+        *at_mut(&mut self.comp_of, i) = NONE;
+    }
+
+    /// Whether edge `eid` is enabled and joins two enabled agents.
+    fn usable(&self, eid: u32) -> bool {
+        let e = self.csr.edge(eid);
+        at(&self.edge_enabled, eid as usize)
+            && at(&self.agent_enabled, e.lo().index())
+            && at(&self.agent_enabled, e.hi().index())
+    }
+
+    /// Records the usable edge `eid` between agents `a` and `b`: a tree
+    /// edge merging their groups if they differ, a non-tree edge otherwise.
+    fn link(&mut self, a: usize, b: usize, eid: u32) {
+        let (x, y) = (at(&self.comp_of, a), at(&self.comp_of, b));
+        if x != y {
+            *at_mut(&mut self.tree, eid as usize) = true;
+            self.merge_slots(x, y);
         }
-        // Order insertion last: `insert_into_order_with` inspects the other
-        // ordered slots' minima, so every piece must be populated first.
-        for (slot, min) in pieces {
-            self.insert_into_order_with(slot, min);
+    }
+
+    /// Repairs every edge on the pending list: tree edges that are no
+    /// longer usable.  Until its turn, a pending edge stays in the forest
+    /// as a virtual tree edge, so the forest plus the pending edges spans
+    /// each group and every search below sees two separate trees.
+    fn repair_pending(&mut self) {
+        let pending = std::mem::take(&mut self.pending);
+        self.work.tree_edge_downs += pending.len() as u64;
+        for &eid in &pending {
+            *at_mut(&mut self.tree, eid as usize) = false;
+            self.repair(eid);
         }
+        self.pending = pending;
+    }
+
+    /// After dropping `eid` from the forest: finds the smaller of the two
+    /// trees it separated, then either links that side back through a
+    /// replacement edge or splits it off as a group of its own.
+    fn repair(&mut self, eid: u32) {
+        let e = self.csr.edge(eid);
+        if self.epoch >= u32::MAX - 2 {
+            self.visited.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let ea = self.epoch;
+        self.epoch += 1;
+        let eb = self.epoch;
+        let mut qa = std::mem::take(&mut self.queue_a);
+        let mut qb = std::mem::take(&mut self.queue_b);
+        for (q, x, stamp) in [(&mut qa, e.lo(), ea), (&mut qb, e.hi(), eb)] {
+            q.clear();
+            q.push(x.index() as u32);
+            *at_mut(&mut self.visited, x.index()) = stamp;
+        }
+        // Lockstep expansion: the first side to run out is the smaller
+        // tree.  The two sides never meet — the forest has no cycle.
+        let (mut ha, mut hb) = (0usize, 0usize);
+        let a_smaller = loop {
+            if !self.expand_tree(&mut qa, &mut ha, ea) {
+                break true;
+            }
+            if !self.expand_tree(&mut qb, &mut hb, eb) {
+                break false;
+            }
+        };
+        let (side, stamp) = if a_smaller { (&qa, ea) } else { (&qb, eb) };
+        if let Some(replacement) = self.find_replacement(side, stamp) {
+            *at_mut(&mut self.tree, replacement as usize) = true;
+        } else {
+            self.split_off(at(&self.comp_of, e.lo().index()), side, stamp);
+        }
+        self.queue_a = qa;
+        self.queue_b = qb;
+    }
+
+    /// Expands the next node of one repair side along tree edges; returns
+    /// `false` once the side is exhausted.
+    fn expand_tree(&mut self, q: &mut Vec<u32>, head: &mut usize, stamp: u32) -> bool {
+        let Some(&x) = q.get(*head) else {
+            return false;
+        };
+        *head += 1;
+        self.work.agents_visited += 1;
+        for (nbr, eid) in self.csr.neighbors(x as usize) {
+            if at(&self.tree, eid as usize) && at(&self.visited, nbr as usize) != stamp {
+                *at_mut(&mut self.visited, nbr as usize) = stamp;
+                q.push(nbr);
+            }
+        }
+        true
+    }
+
+    /// Scans the usable edges of the exhausted side (stamped `stamp`) for
+    /// one leaving it; such an edge reconnects the two trees.
+    fn find_replacement(&mut self, side: &[u32], stamp: u32) -> Option<u32> {
+        for &x in side {
+            if !at(&self.agent_enabled, x as usize) {
+                continue; // an agent going down keeps no usable edge
+            }
+            for (nbr, eid) in self.csr.neighbors(x as usize) {
+                self.work.replacement_edges_scanned += 1;
+                if at(&self.edge_enabled, eid as usize)
+                    && at(&self.agent_enabled, nbr as usize)
+                    && at(&self.visited, nbr as usize) != stamp
+                {
+                    return Some(eid);
+                }
+            }
+        }
+        None
+    }
+
+    /// Moves the exhausted side (stamped `stamp`) of a repair out of the
+    /// group in `slot` into a new one.  Partitioning the old sorted member
+    /// list by the stamp keeps both halves sorted; the rest keeps the slot
+    /// id, and whichever half holds the old minimum keeps its position in
+    /// the order.
+    fn split_off(&mut self, slot: u32, side: &[u32], stamp: u32) {
+        let min_moves = at(&self.visited, self.slot_min(slot).index()) == stamp;
+        if min_moves {
+            self.remove_from_order(slot);
+        }
+        let members = std::mem::take(at_mut(&mut self.slots, slot as usize));
+        let (moved, kept): (Vec<AgentId>, Vec<AgentId>) = members
+            .iter()
+            .partition(|m| at(&self.visited, m.index()) == stamp);
+        *at_mut(&mut self.slots, slot as usize) = kept;
+        let new_slot = self.alloc_slot(moved);
+        for &x in side {
+            *at_mut(&mut self.comp_of, x as usize) = new_slot;
+        }
+        if min_moves {
+            self.insert_into_order(slot);
+        }
+        self.insert_into_order(new_slot);
     }
 
     /// Merges the groups in slots `x` and `y` (no-op if equal).  The slot
@@ -446,107 +598,14 @@ impl GroupIndex {
         *at_mut(&mut self.slots, keep as usize) = merged;
     }
 
-    /// After disabling the usable edge `(a, b)`: decides connectivity with a
-    /// bidirectional BFS confined to the affected component and splits it if
-    /// the endpoints separated.
-    fn resplit_after_edge_down(&mut self, a: u32, b: u32) {
-        let slot = at(&self.comp_of, a as usize);
-        debug_assert_eq!(slot, at(&self.comp_of, b as usize));
-        if self.epoch >= u32::MAX - 2 {
-            self.visited.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let ea = self.epoch;
-        self.epoch += 1;
-        let eb = self.epoch;
-        let mut qa = std::mem::take(&mut self.queue_a);
-        let mut qb = std::mem::take(&mut self.queue_b);
-        qa.clear();
-        qb.clear();
-        qa.push(a);
-        *at_mut(&mut self.visited, a as usize) = ea;
-        qb.push(b);
-        *at_mut(&mut self.visited, b as usize) = eb;
-        let (mut ha, mut hb) = (0usize, 0usize);
-        // Lockstep expansion: the exhausted side is the (smaller) split-off
-        // candidate; meeting the other side's stamp proves connectivity.
-        let split_epoch = loop {
-            match self.expand_one(&mut qa, &mut ha, ea, eb) {
-                Expand::Connected => break None,
-                Expand::Exhausted => break Some(ea),
-                Expand::Progress => {}
-            }
-            match self.expand_one(&mut qb, &mut hb, eb, ea) {
-                Expand::Connected => break None,
-                Expand::Exhausted => break Some(eb),
-                Expand::Progress => {}
-            }
-        };
-        self.queue_a = qa;
-        self.queue_b = qb;
-        let Some(side) = split_epoch else {
-            return; // still connected
-        };
-        // Partition the old sorted member list by the side stamp; both
-        // halves stay sorted.  The half holding the old minimum keeps the
-        // slot id (and its order position); the other becomes a new group.
-        let old_members = std::mem::take(at_mut(&mut self.slots, slot as usize));
-        let old_min = old_members.first().copied().expect("non-empty group");
-        let mut in_side = Vec::new();
-        let mut out_side = Vec::new();
-        for &m in &old_members {
-            if at(&self.visited, m.index()) == side {
-                in_side.push(m);
-            } else {
-                out_side.push(m);
-            }
-        }
-        let min_in_side = in_side.first().copied() == Some(old_min);
-        let (keep_list, new_list) = if min_in_side {
-            (in_side, out_side)
-        } else {
-            (out_side, in_side)
-        };
-        *at_mut(&mut self.slots, slot as usize) = keep_list;
-        let new_slot = self.alloc_slot(Vec::new());
-        for m in &new_list {
-            *at_mut(&mut self.comp_of, m.index()) = new_slot;
-        }
-        *at_mut(&mut self.slots, new_slot as usize) = new_list;
-        self.insert_into_order(new_slot);
-    }
-
-    /// Expands one node of one BFS side; see `resplit_after_edge_down`.
-    fn expand_one(&mut self, q: &mut Vec<u32>, head: &mut usize, own: u32, other: u32) -> Expand {
-        if *head == q.len() {
-            return Expand::Exhausted;
-        }
-        let x = at(q, *head);
-        *head += 1;
-        for (nbr, eid) in self.csr.neighbors(x as usize) {
-            if !at(&self.edge_enabled, eid as usize) || !at(&self.agent_enabled, nbr as usize) {
-                continue;
-            }
-            let v = at(&self.visited, nbr as usize);
-            if v == own {
-                continue;
-            }
-            if v == other {
-                return Expand::Connected;
-            }
-            *at_mut(&mut self.visited, nbr as usize) = own;
-            q.push(nbr);
-        }
-        Expand::Progress
-    }
-
-    /// Full flat rescan of the group partition from the current bitmasks.
+    /// Full flat rescan of the group partition from the current bitmasks;
+    /// each BFS discovery edge becomes a tree edge.
     fn rebuild_groups(&mut self) {
         self.slots.clear();
         self.free.clear();
         self.order.clear();
         self.comp_of.fill(NONE);
+        self.tree.fill(false);
         let n = self.agent_enabled.len();
         let mut queue = std::mem::take(&mut self.queue_a);
         for i in 0..n {
@@ -569,6 +628,7 @@ impl GroupIndex {
                         && at(&self.comp_of, nbr as usize) == NONE
                     {
                         *at_mut(&mut self.comp_of, nbr as usize) = slot;
+                        *at_mut(&mut self.tree, eid as usize) = true;
                         queue.push(nbr);
                     }
                 }
@@ -630,15 +690,6 @@ impl GroupIndex {
         debug_assert_eq!(self.order.get(pos).copied(), Some(slot));
         self.order.remove(pos);
     }
-}
-
-enum Expand {
-    /// One node expanded without meeting the other side.
-    Progress,
-    /// This side's frontier is exhausted: it is a separate component.
-    Exhausted,
-    /// This side reached a node stamped by the other side: still connected.
-    Connected,
 }
 
 #[cfg(test)]
@@ -745,5 +796,100 @@ mod tests {
         assert_eq!(gi.groups(), state.groups());
         gi.apply_changes(&changes(vec![], vec![], vec![], vec![AgentId(0)]));
         assert_eq!(gi.group_count(), 1, "center restores the star");
+    }
+
+    #[test]
+    fn batch_repair_keeps_the_forest_spanning_for_the_next_split() {
+        // Triangle with centre B = 0: the rescan's BFS makes A–B (0-1) and
+        // B–C (0-2) tree edges and A–C (1-2) a non-tree edge.  One batch
+        // downs both tree edges: B is isolated and A, C stay joined only by
+        // A–C, which must become a tree edge.  A batch that split off
+        // whichever side ran out first and skipped edges whose endpoints
+        // were already separated would leave A and C unlinked in the
+        // forest, and the next round's A–C down would look like a free
+        // non-tree down and miss the split.
+        let topo = Topology::from_edges(3, [(0, 1), (0, 2), (1, 2)]);
+        let mut gi = GroupIndex::new(&topo);
+        gi.reset_all_enabled();
+        gi.check_certificate()
+            .expect("rescan builds a valid forest");
+        gi.apply_changes(&changes(
+            vec![edge(0, 1), edge(0, 2)],
+            vec![],
+            vec![],
+            vec![],
+        ));
+        gi.check_certificate()
+            .expect("batch keeps the forest spanning");
+        assert_eq!(
+            gi.groups(),
+            [vec![AgentId(0)], vec![AgentId(1), AgentId(2)]]
+        );
+        gi.apply_changes(&changes(vec![edge(1, 2)], vec![], vec![], vec![]));
+        gi.check_certificate()
+            .expect("split keeps the forest valid");
+        assert_eq!(
+            gi.groups(),
+            [vec![AgentId(0)], vec![AgentId(1)], vec![AgentId(2)]]
+        );
+        assert_eq!(gi.work().tree_edge_downs, 3);
+    }
+
+    #[test]
+    fn non_tree_down_visits_no_agent() {
+        // Ring 0-1-2-3-0: the rescan's BFS from 0 takes 0-1, 0-3 and 1-2,
+        // leaving 2-3 as the one non-tree edge.
+        let topo = Topology::ring(4);
+        let mut gi = GroupIndex::new(&topo);
+        gi.reset_all_enabled();
+        gi.apply_changes(&changes(vec![edge(2, 3)], vec![], vec![], vec![]));
+        assert_eq!(gi.work(), GroupWork::default(), "mask flip only");
+        assert_eq!(gi.group_count(), 1);
+        // Now every edge is a tree edge: downing 1-2 searches both sides.
+        gi.apply_changes(&changes(vec![edge(1, 2)], vec![], vec![], vec![]));
+        assert_eq!(gi.group_count(), 2);
+        let work = gi.work();
+        assert_eq!(work.tree_edge_downs, 1);
+        assert!(work.agents_visited > 0);
+        gi.check_certificate().expect("valid after the split");
+    }
+
+    #[test]
+    fn work_counters_of_a_fixed_churn_run_are_pinned() {
+        use crate::{EnvDelta, Environment, RandomChurnEnv};
+        use rand::SeedableRng;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let topo = Topology::random_connected_sparse(200, 6.0, &mut rng);
+        let mut env = RandomChurnEnv::new(topo.clone(), 0.97, 0.995);
+        let mut gi = GroupIndex::new(&topo);
+        let mut state = EnvState::fully_disabled(200);
+        let mut flips = 0;
+        for _ in 0..40 {
+            match env.step_delta(&mut rng) {
+                EnvDelta::Full(s) => {
+                    gi.reset_from_state(&s);
+                    state = s;
+                }
+                EnvDelta::Changes(c) => {
+                    flips += c.edges_down.len() + c.edges_up.len();
+                    gi.apply_changes(&c);
+                    state.apply_changes(&c);
+                }
+                EnvDelta::Unchanged | EnvDelta::AllEnabled => {}
+            }
+            assert_eq!(gi.groups(), state.groups());
+        }
+        gi.check_certificate().expect("valid after the run");
+        // 1307 edge flips plus about one agent flip per round.
+        assert_eq!(flips, 1307);
+        assert_eq!(
+            gi.work(),
+            GroupWork {
+                tree_edge_downs: 325,
+                agents_visited: 4623,
+                replacement_edges_scanned: 543,
+            }
+        );
     }
 }

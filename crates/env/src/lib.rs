@@ -56,7 +56,7 @@ pub use environment::{
     PeriodicPartitionEnv, RandomChurnEnv, StaticEnv,
 };
 pub use fairness::FairnessSpec;
-pub use groups::GroupIndex;
+pub use groups::{GroupIndex, GroupWork};
 pub use params::{parse_label, split_top_level, validate_probability, Params};
 pub use state::EnvState;
 pub use topology::{AgentId, Edge, Topology};

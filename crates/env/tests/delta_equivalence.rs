@@ -7,8 +7,9 @@
 //! incrementally.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use selfsim_env::{
     AdversarialEnv, ComposedEnv, CrashRestartEnv, EnvDelta, EnvState, Environment, GroupIndex,
     MarkovLinkEnv, PeriodicPartitionEnv, RandomChurnEnv, StaticEnv, Topology,
@@ -109,7 +110,7 @@ proptest! {
 
     /// Incremental group maintenance equals a from-scratch BFS: a
     /// [`GroupIndex`] fed the delta stream of every builtin environment
-    /// (merges on edge-up, bounded re-splits on edge-down, agent churn)
+    /// (merges on edge-up, forest repairs on edge-down, agent churn)
     /// reports exactly the groups — in exactly the ascending-min order —
     /// that a full rescan of the folded [`EnvState`] reports.
     #[test]
@@ -124,43 +125,110 @@ proptest! {
     ) {
         let topo = topology(choice, n);
         for mut env in builtin_envs(&topo, p, q, k) {
-            let name = env.name();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut folded: Option<EnvState> = None;
-            let mut index = GroupIndex::new(&topo);
-            for round in 0..rounds {
-                let delta = env.step_delta(&mut rng);
-                // Mirror the event runtime's handling of each delta kind.
-                match &delta {
-                    EnvDelta::Unchanged => {}
-                    EnvDelta::AllEnabled => index.reset_all_enabled(),
-                    EnvDelta::Full(state) => index.reset_from_state(state),
-                    EnvDelta::Changes(changes) => index.apply_changes(changes),
-                }
-                fold(&mut folded, delta, &topo);
-                let folded = folded.as_ref().expect("absolute after first delta");
-                prop_assert!(
-                    index.groups() == folded.groups(),
-                    "{} group index diverged from BFS at round {} (seed {}): {:?} vs {:?}",
-                    name,
-                    round,
-                    seed,
-                    index.groups(),
-                    folded.groups()
-                );
-                prop_assert!(
-                    index.same_connectivity(folded),
-                    "{} same_connectivity disagreed at round {}",
-                    name,
-                    round
-                );
-                prop_assert!(
-                    index.to_env_state() == *folded,
-                    "{} to_env_state round-trip diverged at round {}",
-                    name,
-                    round
-                );
-            }
+            check_index_against_bfs(env.as_mut(), &topo, seed, rounds)?;
         }
     }
+
+    /// The same property on the graphs the spanning-forest certificate is
+    /// built for: sparse random connected graphs of several degrees, plus
+    /// random trees and rings, where (nearly) every downed edge is a tree
+    /// edge.  Churn with `p` well below 1 downs many edges per round, so
+    /// the batched repair — several tree edges of one group in one delta,
+    /// each repaired against the final masks — is exercised throughout,
+    /// and `q < 1` adds agent downs that repair the agent's tree edges.
+    #[test]
+    fn group_index_certificate_holds_on_sparse_graphs_under_batched_downs(
+        seed in 0u64..1000,
+        shape in 0u8..6,
+        n in 2usize..64,
+        p in 0.3f64..=1.0,
+        q in 0.6f64..=1.0,
+        rounds in 1usize..24,
+    ) {
+        let mut graph_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let topo = match shape {
+            0 => random_tree(n, &mut graph_rng),
+            1 => Topology::ring(n.max(3)),
+            degree => {
+                let degree = [1.5, 3.0, 6.0, 12.0][usize::from(degree - 2)];
+                Topology::random_connected_sparse(n, degree, &mut graph_rng)
+            }
+        };
+        let envs: Vec<Box<dyn Environment>> = vec![
+            Box::new(RandomChurnEnv::new(topo.clone(), p, q)),
+            Box::new(RandomChurnEnv::new(topo.clone(), p, 1.0)),
+            Box::new(MarkovLinkEnv::new(topo.clone(), p, 1.0 - p)),
+        ];
+        for mut env in envs {
+            check_index_against_bfs(env.as_mut(), &topo, seed, rounds)?;
+        }
+    }
+}
+
+/// A uniformly random recursive tree: agent `i > 0` hangs off a random
+/// earlier agent.  Every edge of a tree topology is a tree edge of the
+/// certificate, so every down is a repair.
+fn random_tree(n: usize, rng: &mut StdRng) -> Topology {
+    Topology::from_edges(n, (1..n).map(|i| (rng.gen_range(0..i), i)))
+}
+
+/// Feeds `env`'s delta stream into a [`GroupIndex`] the way the event
+/// runtime does and checks, after every delta, that the index reports
+/// exactly the groups a from-scratch BFS of the folded [`EnvState`]
+/// reports, agrees on connectivity, round-trips its state, and holds a
+/// valid spanning-forest certificate.
+fn check_index_against_bfs(
+    env: &mut dyn Environment,
+    topo: &Topology,
+    seed: u64,
+    rounds: usize,
+) -> Result<(), TestCaseError> {
+    let name = env.name();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut folded: Option<EnvState> = None;
+    let mut index = GroupIndex::new(topo);
+    for round in 0..rounds {
+        let delta = env.step_delta(&mut rng);
+        // Mirror the event runtime's handling of each delta kind.
+        match &delta {
+            EnvDelta::Unchanged => {}
+            EnvDelta::AllEnabled => index.reset_all_enabled(),
+            EnvDelta::Full(state) => index.reset_from_state(state),
+            EnvDelta::Changes(changes) => index.apply_changes(changes),
+        }
+        fold(&mut folded, delta, topo);
+        let folded = folded.as_ref().expect("absolute after first delta");
+        prop_assert!(
+            index.groups() == folded.groups(),
+            "{} group index diverged from BFS at round {} (seed {}): {:?} vs {:?}",
+            name,
+            round,
+            seed,
+            index.groups(),
+            folded.groups()
+        );
+        prop_assert!(
+            index.same_connectivity(folded),
+            "{} same_connectivity disagreed at round {}",
+            name,
+            round
+        );
+        prop_assert!(
+            index.to_env_state() == *folded,
+            "{} to_env_state round-trip diverged at round {}",
+            name,
+            round
+        );
+        if let Err(violation) = index.check_certificate() {
+            prop_assert!(
+                false,
+                "{} certificate broken at round {} (seed {}): {}",
+                name,
+                round,
+                seed,
+                violation
+            );
+        }
+    }
+    Ok(())
 }

@@ -17,8 +17,9 @@
 //!   advanced through [`Environment::step_delta`]; incremental
 //!   [`selfsim_env::EnvChanges`] are folded into a [`GroupIndex`] — group
 //!   maintenance over the topology's CSR adjacency that merges on edge-up
-//!   and re-splits via a bounded bidirectional search on edge-down, touching
-//!   only the affected component instead of rescanning the graph.
+//!   and, on edge-down, repairs a spanning-forest certificate by searching
+//!   only the smaller side of a downed tree edge, instead of rescanning the
+//!   graph.
 //!   [`selfsim_env::EnvDelta::Unchanged`] costs nothing and
 //!   [`selfsim_env::EnvDelta::AllEnabled`] avoids even *materialising* the
 //!   full [`EnvState`]: a fully-enabled static complete graph on 10⁵ agents
