@@ -108,7 +108,7 @@ fn hotpath(c: &mut Criterion) {
 /// E15 — event-runtime scaling kernels at criterion-friendly sizes.
 ///
 /// The kernels live in [`selfsim_bench::escale`] so the `escale` binary
-/// (which emits `BENCH_12.json` in CI, sweeping up to a million agents)
+/// (which emits `BENCH_13.json` in CI, sweeping up to a million agents)
 /// times exactly this code.
 fn escale(c: &mut Criterion) {
     use selfsim_bench::escale as kernels;
@@ -200,6 +200,28 @@ fn connectivity(c: &mut Criterion) {
     group.finish();
 }
 
+/// The environment layer in isolation: one `RandomChurnEnv::step_delta`
+/// round on the escale random-churn cell's graph (n = 10⁵, expected degree
+/// 16, p = 0.999): a block-drawn Bernoulli per edge and per agent plus the
+/// flip lists, through `&mut dyn RngCore` as the event engine calls it.
+fn env(c: &mut Criterion) {
+    use rand::{rngs::StdRng, SeedableRng};
+    use selfsim_env::Environment;
+
+    let mut group = c.benchmark_group("env");
+    let n = 100_000usize;
+    group.bench_with_input(BenchmarkId::new("churn-step-delta", n), &n, |b, &n| {
+        let mut graph_rng = StdRng::seed_from_u64(100 + n as u64);
+        let graph = Topology::random_connected_sparse(n, 16.0, &mut graph_rng);
+        let mut env = RandomChurnEnv::new(graph, 0.999, 1.0);
+        let mut rng = StdRng::seed_from_u64(9);
+        // The first delta is the absolute base state; time the rounds.
+        let _ = env.step_delta(&mut rng);
+        b.iter(|| black_box(env.step_delta(&mut rng)))
+    });
+    group.finish();
+}
+
 /// E9 — sorting runs on a churning line, by size.
 fn e9_sorting(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9/sorting-churning-line");
@@ -225,6 +247,6 @@ fn e9_sorting(c: &mut Criterion) {
 criterion_group! {
     name = experiments;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = e4_scaling, e5_churn, e7_baselines, e9_sorting, hotpath, escale, connectivity
+    targets = e4_scaling, e5_churn, e7_baselines, e9_sorting, hotpath, escale, connectivity, env
 }
 criterion_main!(experiments);

@@ -3,7 +3,7 @@
 //! Sweeps the [`selfsim_bench::escale`] kernels (the same code
 //! `cargo bench -- escale` measures at reduced sizes) over
 //! n ∈ {10³, 10⁴, 10⁵, 10⁶} on the E-series topologies and writes the
-//! curve as `BENCH_12.json` — one point of the repo's bench trajectory.
+//! curve as `BENCH_13.json` — one point of the repo's bench trajectory.
 //!
 //! ```text
 //! cargo run --release -p selfsim-bench --bin escale -- \
@@ -46,7 +46,7 @@ escale — E-series event-runtime scaling curve (events/sec + peak RSS), as JSON
 OPTIONS
     --sizes N,N,...             agent counts to sweep
                                 (default 1000,10000,100000,1000000)
-    --out PATH                  where to write the bench JSON (default BENCH_12.json)
+    --out PATH                  where to write the bench JSON (default BENCH_13.json)
     --assert-min-events-per-sec R  fail if any cell's throughput drops below R
                                 (the speed gate); also takes per-topology
                                 floors as TOPO=R,TOPO=R — the cells differ
@@ -63,7 +63,7 @@ OPTIONS
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         sizes: vec![1_000, 10_000, 100_000, 1_000_000],
-        out: "BENCH_12.json".into(),
+        out: "BENCH_13.json".into(),
         assert_min_events_per_sec: Vec::new(),
         assert_peak_rss_mb: None,
         cell: None,
@@ -280,10 +280,10 @@ fn main() -> ExitCode {
         }
     }
 
-    // --- BENCH_12.json (stable key order, hand-formatted so the vendored
+    // --- BENCH_13.json (stable key order, hand-formatted so the vendored
     // serde_json subset stays out of the measurement path) ---
     let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"BENCH_12\",\n  \"escale\": [\n");
+    json.push_str("{\n  \"bench\": \"BENCH_13\",\n  \"escale\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let events_per_sec =

@@ -119,7 +119,7 @@ pub mod hotpath {
 /// The E-series event-runtime scaling kernels: full [`EventSimulator`]
 /// runs at large `n`, shared between the criterion benches
 /// (`benches/experiments.rs`, reduced sizes) and the `escale` binary that
-/// emits `BENCH_12.json` in CI (up to a million agents).  Construction
+/// emits `BENCH_13.json` in CI (up to a million agents).  Construction
 /// (`new`) is setup and excluded from timing; `run` is one measured
 /// iteration.
 ///
@@ -157,7 +157,7 @@ pub mod escale {
     }
 
     impl EscaleTopology {
-        /// The label used in `BENCH_12.json` and the criterion group.
+        /// The label used in `BENCH_13.json` and the criterion group.
         pub fn label(self) -> &'static str {
             match self {
                 EscaleTopology::CompleteStatic => "complete-static",

@@ -9,9 +9,53 @@
 
 use std::collections::BTreeSet;
 
-use rand::Rng;
+use rand::RngCore;
 
 use crate::{AgentId, Edge, EnvState, Topology};
+
+/// Words pulled per `fill_bytes` call by [`for_each_bernoulli`]: a 256 B
+/// stack buffer, small enough that zeroing it costs the tiny trials of a
+/// campaign grid nothing.
+const DRAW_BLOCK: usize = 32;
+
+/// `Rng::gen_bool`'s test as an integer threshold on the top 53 bits of a
+/// word: `gen_bool` tests `(w >> 11) · 2⁻⁵³ < p`, and both sides are exact in
+/// `f64` (`w >> 11 < 2⁵³`; `p · 2⁵³` only shifts the exponent), so the test
+/// is `(w >> 11) < ⌈p · 2⁵³⌉` — at most 2⁵³, exact as a `u64`.
+fn bernoulli_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One Bernoulli draw per item, in iteration order: `visit(item, hit)` with
+/// `hit` true with probability `threshold(&item) / 2⁵³` (see
+/// [`bernoulli_threshold`]).
+///
+/// Each draw is one `next_u64` word, exactly as `gen_bool` takes it, so
+/// the stream, the RNG state afterwards and every outcome equal the
+/// per-item `gen_bool` loop's.  The words arrive [`DRAW_BLOCK`] at a time
+/// through one `fill_bytes` call (the little-endian `next_u64` sequence), so
+/// a `dyn RngCore` costs one virtual call per block instead of per draw.
+/// The last block asks for only the words it needs.
+fn for_each_bernoulli<I: ExactSizeIterator>(
+    rng: &mut dyn RngCore,
+    mut items: I,
+    threshold: impl Fn(&I::Item) -> u64,
+    mut visit: impl FnMut(I::Item, bool),
+) {
+    let mut buf = [0u8; 8 * DRAW_BLOCK];
+    let mut left = items.len();
+    while left > 0 {
+        let words = left.min(DRAW_BLOCK);
+        let (block, _) = buf.split_at_mut(8 * words);
+        rng.fill_bytes(block);
+        for (bytes, item) in block.chunks_exact(8).zip(items.by_ref()) {
+            let word = u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+            let hit = (word >> 11) < threshold(&item);
+            visit(item, hit);
+        }
+        left -= words;
+    }
+}
 
 /// An incremental connectivity update: the edges and agents whose enabled
 /// status flipped since the previous environment state.
@@ -194,6 +238,28 @@ impl RandomChurnEnv {
     pub fn agent_probability(&self) -> f64 {
         self.p_agent
     }
+
+    /// The edge and agent probabilities as [`for_each_bernoulli`]
+    /// thresholds.
+    fn thresholds(&self) -> (u64, u64) {
+        (
+            bernoulli_threshold(self.p_edge),
+            bernoulli_threshold(self.p_agent),
+        )
+    }
+}
+
+/// Sets a `step_delta` tracker to its fresh draw `up`, recording `item` in
+/// `ups` or `downs` when it flipped.
+fn track_flip<T>(cur: &mut bool, up: bool, item: T, ups: &mut Vec<T>, downs: &mut Vec<T>) {
+    if up != *cur {
+        *cur = up;
+        if up {
+            ups.push(item);
+        } else {
+            downs.push(item);
+        }
+    }
 }
 
 impl Environment for RandomChurnEnv {
@@ -202,18 +268,20 @@ impl Environment for RandomChurnEnv {
     }
 
     fn step(&mut self, rng: &mut dyn rand::RngCore) -> EnvState {
-        let edges: Vec<Edge> = self
-            .topology
-            .edges()
-            .iter()
-            .copied()
-            .filter(|_| rng.gen_bool(self.p_edge))
-            .collect();
-        let agents: Vec<AgentId> = self
-            .topology
-            .agents()
-            .filter(|_| rng.gen_bool(self.p_agent))
-            .collect();
+        let (t_edge, t_agent) = self.thresholds();
+        let (mut edges, mut agents) = (Vec::new(), Vec::new());
+        for_each_bernoulli(
+            rng,
+            self.topology.edges().iter(),
+            |_| t_edge,
+            |&e, up| edges.extend(up.then_some(e)),
+        );
+        for_each_bernoulli(
+            rng,
+            self.topology.agents(),
+            |_| t_agent,
+            |a, up| agents.extend(up.then_some(a)),
+        );
         EnvState::new(self.topology.agent_count(), edges, agents)
     }
 
@@ -221,20 +289,25 @@ impl Environment for RandomChurnEnv {
         // The CSR edge list is the topology's edge set in the same
         // ascending order `step` draws in, but flat.
         let csr = self.topology.csr();
+        let (t_edge, t_agent) = self.thresholds();
         if !self.delta_primed {
             self.delta_primed = true;
             // `step`'s draws, kept as the trackers: one Bernoulli per edge,
             // then one per agent.
-            self.cur_edges = csr
-                .edges()
-                .iter()
-                .map(|_| rng.gen_bool(self.p_edge))
-                .collect();
-            self.cur_agents = self
-                .topology
-                .agents()
-                .map(|_| rng.gen_bool(self.p_agent))
-                .collect();
+            self.cur_edges = vec![false; csr.edge_count()];
+            self.cur_agents = vec![false; self.topology.agent_count()];
+            for_each_bernoulli(
+                rng,
+                self.cur_edges.iter_mut(),
+                |_| t_edge,
+                |cur, up| *cur = up,
+            );
+            for_each_bernoulli(
+                rng,
+                self.cur_agents.iter_mut(),
+                |_| t_agent,
+                |cur, up| *cur = up,
+            );
             let edges = csr.edges().iter().zip(&self.cur_edges);
             let agents = self.topology.agents().zip(&self.cur_agents);
             return EnvDelta::Full(EnvState::new(
@@ -244,32 +317,27 @@ impl Environment for RandomChurnEnv {
             ));
         }
         // Exactly one Bernoulli per edge (sorted order) then one per agent
-        // (ascending order) — the same stream `step` consumes — recording
-        // only the flips.  Churn is memoryless, so each draw *is* the next
-        // enabled flag; the trackers exist purely to diff against.
+        // (ascending order) — the same stream `step` consumes, drawn in
+        // `fill_bytes` blocks — recording only the flips.  Churn is
+        // memoryless, so each draw *is* the next enabled flag; the trackers
+        // exist purely to diff against.
         let mut changes = EnvChanges::default();
-        for (cur, e) in self.cur_edges.iter_mut().zip(csr.edges()) {
-            let up = rng.gen_bool(self.p_edge);
-            if up != *cur {
-                *cur = up;
-                if up {
-                    changes.edges_up.push(*e);
-                } else {
-                    changes.edges_down.push(*e);
-                }
-            }
-        }
-        for (i, cur) in self.cur_agents.iter_mut().enumerate() {
-            let up = rng.gen_bool(self.p_agent);
-            if up != *cur {
-                *cur = up;
-                if up {
-                    changes.agents_up.push(AgentId(i));
-                } else {
-                    changes.agents_down.push(AgentId(i));
-                }
-            }
-        }
+        let (ups, downs) = (&mut changes.edges_up, &mut changes.edges_down);
+        let edges = self.cur_edges.iter_mut().zip(csr.edges());
+        for_each_bernoulli(
+            rng,
+            edges,
+            |_| t_edge,
+            |(cur, &e), up| track_flip(cur, up, e, ups, downs),
+        );
+        let (ups, downs) = (&mut changes.agents_up, &mut changes.agents_down);
+        let agents = self.cur_agents.iter_mut().zip(self.topology.agents());
+        for_each_bernoulli(
+            rng,
+            agents,
+            |_| t_agent,
+            |(cur, a), up| track_flip(cur, up, a, ups, downs),
+        );
         if changes.is_empty() {
             EnvDelta::Unchanged
         } else {
@@ -329,6 +397,27 @@ impl MarkovLinkEnv {
             ..Self::new(topology, p_up, p_down)
         }
     }
+
+    /// One Markov transition per topology edge, in edge order:
+    /// `visit(edge, currently_up, up_next)`.  An up link goes down on a
+    /// `p_down` hit, a down link comes up on a `p_up` hit.
+    fn for_each_transition(&self, rng: &mut dyn RngCore, mut visit: impl FnMut(&Edge, bool, bool)) {
+        let (t_up, t_down) = (
+            bernoulli_threshold(self.p_up),
+            bernoulli_threshold(self.p_down),
+        );
+        let edges = self
+            .topology
+            .edges()
+            .iter()
+            .map(|e| (e, self.up.contains(e)));
+        for_each_bernoulli(
+            rng,
+            edges,
+            |&(_, up)| if up { t_down } else { t_up },
+            |(e, up), hit| visit(e, up, up != hit),
+        );
+    }
 }
 
 impl Environment for MarkovLinkEnv {
@@ -338,17 +427,11 @@ impl Environment for MarkovLinkEnv {
 
     fn step(&mut self, rng: &mut dyn rand::RngCore) -> EnvState {
         let mut next_up = BTreeSet::new();
-        for e in self.topology.edges() {
-            let currently_up = self.up.contains(e);
-            let up_next = if currently_up {
-                !rng.gen_bool(self.p_down)
-            } else {
-                rng.gen_bool(self.p_up)
-            };
+        self.for_each_transition(rng, |e, _, up_next| {
             if up_next {
                 next_up.insert(*e);
             }
-        }
+        });
         self.up = next_up;
         EnvState::new(
             self.topology.agent_count(),
@@ -366,13 +449,7 @@ impl Environment for MarkovLinkEnv {
         // the same stream `step` consumes — recording only the flips.
         let mut went_up = Vec::new();
         let mut went_down = Vec::new();
-        for e in self.topology.edges() {
-            let currently_up = self.up.contains(e);
-            let up_next = if currently_up {
-                !rng.gen_bool(self.p_down)
-            } else {
-                rng.gen_bool(self.p_up)
-            };
+        self.for_each_transition(rng, |e, currently_up, up_next| {
             if up_next != currently_up {
                 if up_next {
                     went_up.push(*e);
@@ -380,7 +457,7 @@ impl Environment for MarkovLinkEnv {
                     went_down.push(*e);
                 }
             }
-        }
+        });
         for e in &went_up {
             self.up.insert(*e);
         }
@@ -563,18 +640,24 @@ impl Environment for CrashRestartEnv {
     }
 
     fn step(&mut self, rng: &mut dyn rand::RngCore) -> EnvState {
+        let (t_crash, t_restart) = (
+            bernoulli_threshold(self.p_crash),
+            bernoulli_threshold(self.p_restart),
+        );
         let mut next_up = BTreeSet::new();
-        for a in self.topology.agents() {
-            let currently_up = self.up.contains(&a);
-            let up_next = if currently_up {
-                !rng.gen_bool(self.p_crash)
-            } else {
-                rng.gen_bool(self.p_restart)
-            };
-            if up_next {
-                next_up.insert(a);
-            }
-        }
+        // An up agent crashes on a `p_crash` hit; a down one restarts on a
+        // `p_restart` hit.
+        let agents = self.topology.agents().map(|a| (a, self.up.contains(&a)));
+        for_each_bernoulli(
+            rng,
+            agents,
+            |&(_, up)| if up { t_crash } else { t_restart },
+            |(a, up), hit| {
+                if up != hit {
+                    next_up.insert(a);
+                }
+            },
+        );
         self.up = next_up;
         let edges: Vec<Edge> = self
             .topology
@@ -696,6 +779,44 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    /// An RNG whose next word is fixed, to feed `gen_bool` a chosen word.
+    struct Word(u64);
+
+    impl RngCore for Word {
+        fn next_u32(&mut self) -> u32 {
+            (self.0 >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn bernoulli_threshold_is_gen_bool_exactly() {
+        use rand::Rng;
+        let tiny = 1.0 / (1u64 << 53) as f64;
+        let mut ps = vec![0.0, tiny, 0.5, 0.999, 1.0 - tiny, 1.0];
+        // Below 1/2 a probability has bits under 2⁻⁵³, so `p · 2⁵³` is
+        // fractional and the ceiling matters; a product of two uniforms
+        // has them almost surely (a single uniform is a multiple of 2⁻⁵³).
+        ps.extend([tiny / 3.0, 0.1, 0.3]);
+        let mut r = rng();
+        ps.extend((0..200).map(|_| r.gen_range(0.0..1.0) * r.gen_range(0.0..1.0)));
+        for p in ps {
+            let t = bernoulli_threshold(p);
+            assert!(t <= 1 << 53, "p = {p}");
+            // The words just either side of the boundary `t << 11`: the
+            // lowest and highest word of each 53-bit value next to `t`.
+            let near = [t.saturating_sub(1), t, t + 1];
+            for m in near.into_iter().filter(|&m| m < 1 << 53) {
+                for word in [m << 11, (m << 11) | 0x7ff] {
+                    let expected = Word(word).gen_bool(p);
+                    assert_eq!((word >> 11) < t, expected, "p = {p}, word = {word:#x}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -483,7 +483,7 @@ impl Topology {
     }
 
     /// Iterates over all agent ids.
-    pub fn agents(&self) -> impl Iterator<Item = AgentId> {
+    pub fn agents(&self) -> impl ExactSizeIterator<Item = AgentId> {
         (0..self.n).map(AgentId)
     }
 

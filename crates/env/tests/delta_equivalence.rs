@@ -6,13 +6,15 @@
 //! what entitles the event-driven runtime to apply connectivity updates
 //! incrementally.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use selfsim_env::{
-    AdversarialEnv, ComposedEnv, CrashRestartEnv, EnvDelta, EnvState, Environment, GroupIndex,
-    MarkovLinkEnv, PeriodicPartitionEnv, RandomChurnEnv, StaticEnv, Topology,
+    AdversarialEnv, AgentId, ComposedEnv, CrashRestartEnv, Edge, EnvDelta, EnvState, Environment,
+    GroupIndex, MarkovLinkEnv, PeriodicPartitionEnv, RandomChurnEnv, StaticEnv, Topology,
 };
 
 fn topology(choice: u8, n: usize) -> Topology {
@@ -161,6 +163,114 @@ proptest! {
         ];
         for mut env in envs {
             check_index_against_bfs(env.as_mut(), &topo, seed, rounds)?;
+        }
+    }
+}
+
+/// The per-item `gen_bool` loops the block draws replaced, kept as the
+/// oracle: one `gen_bool` per item, in the order the environments draw.
+/// Markov links and crash/restart agents carry their up sets between steps.
+enum Oracle {
+    Churn(f64, f64),
+    Markov(f64, f64, BTreeSet<Edge>),
+    Crash(f64, f64, BTreeSet<AgentId>),
+}
+
+impl Oracle {
+    fn step(&mut self, topo: &Topology, rng: &mut StdRng) -> EnvState {
+        let n = topo.agent_count();
+        let edges = topo.edges().iter().copied();
+        match self {
+            Oracle::Churn(p_edge, p_agent) => {
+                let edges: Vec<Edge> = edges.filter(|_| rng.gen_bool(*p_edge)).collect();
+                let agents: Vec<AgentId> =
+                    topo.agents().filter(|_| rng.gen_bool(*p_agent)).collect();
+                EnvState::new(n, edges, agents)
+            }
+            Oracle::Markov(p_up, p_down, up) => {
+                *up = edges
+                    .filter(|e| match up.contains(e) {
+                        true => !rng.gen_bool(*p_down),
+                        false => rng.gen_bool(*p_up),
+                    })
+                    .collect();
+                EnvState::new(n, up.iter().copied(), topo.agents())
+            }
+            Oracle::Crash(p_crash, p_restart, up) => {
+                *up = topo
+                    .agents()
+                    .filter(|a| match up.contains(a) {
+                        true => !rng.gen_bool(*p_crash),
+                        false => rng.gen_bool(*p_restart),
+                    })
+                    .collect();
+                let edges = edges.filter(|e| up.contains(&e.lo()) && up.contains(&e.hi()));
+                EnvState::new(n, edges, up.iter().copied())
+            }
+        }
+    }
+}
+
+/// The three block-drawing environments over `topo`, each beside its
+/// oracle, all starting from their constructors' states.
+fn with_oracles(topo: &Topology, p: f64) -> Vec<(Box<dyn Environment>, Oracle)> {
+    vec![
+        (
+            Box::new(RandomChurnEnv::new(topo.clone(), p, p)),
+            Oracle::Churn(p, p),
+        ),
+        (
+            Box::new(MarkovLinkEnv::new(topo.clone(), p, 1.0 - p)),
+            Oracle::Markov(p, 1.0 - p, topo.edges().clone()),
+        ),
+        (
+            Box::new(CrashRestartEnv::new(topo.clone(), 1.0 - p, p)),
+            Oracle::Crash(1.0 - p, p, topo.agents().collect()),
+        ),
+    ]
+}
+
+/// The block draws against the per-item `gen_bool` oracle, at the block
+/// seams.  The proptest graphs have at most 36 edges, about one block of
+/// `DRAW_BLOCK` = 32 words, so a seam bug would go unseen there: these
+/// lines have 31, 32, 33 and 101 (3·32 + 5) edges and one more agent each,
+/// plus a ~600-edge sparse graph.  Both `step` and `step_delta` must
+/// traverse the oracle's states and leave the RNG where the oracle does.
+#[test]
+fn block_draws_equal_the_per_item_gen_bool_oracle_across_block_seams() {
+    const BLOCK: usize = 32;
+    let mut topos: Vec<Topology> = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+        .iter()
+        .map(|&edges| Topology::line(edges + 1))
+        .collect();
+    let mut graph_rng = StdRng::seed_from_u64(17);
+    topos.push(Topology::random_connected_sparse(200, 6.0, &mut graph_rng));
+    for topo in &topos {
+        for p in [0.0, 0.5, 0.999, 1.0] {
+            for use_delta in [false, true] {
+                for (mut env, mut oracle) in with_oracles(topo, p) {
+                    let label = format!(
+                        "{} (p = {p}, {} edges, delta {use_delta})",
+                        env.name(),
+                        topo.edge_count()
+                    );
+                    let mut rng = StdRng::seed_from_u64(5);
+                    let mut oracle_rng = StdRng::seed_from_u64(5);
+                    let mut folded: Option<EnvState> = None;
+                    for round in 0..6 {
+                        let expected = oracle.step(topo, &mut oracle_rng);
+                        let got = if use_delta {
+                            fold(&mut folded, env.step_delta(&mut rng), topo);
+                            folded.clone().expect("absolute after first delta")
+                        } else {
+                            env.step(&mut rng)
+                        };
+                        assert_eq!(got, expected, "{label}: round {round}");
+                    }
+                    let tail = (rng.next_u64(), oracle_rng.next_u64());
+                    assert_eq!(tail.0, tail.1, "{label}: RNG tail differs");
+                }
+            }
         }
     }
 }
