@@ -1,18 +1,18 @@
-//! Cross-runtime equivalence: on cells where the event-driven runtime must
-//! agree with the round-based one — static environments, cooldown-free
-//! synchronous semantics — the emitted records are identical except for the
-//! mode coordinate and the event-runtime's own columns.  This is the Rust
-//! face of the CI `event-equivalence` gate (which `cmp`s the normalised
-//! JSONL bytes the same way).
+//! Cross-runtime equivalence: sync and event are two faces of one round
+//! engine, so on every environment, with or without a cooldown, the
+//! emitted records are identical except for the mode coordinate and the
+//! event runtime's own columns, and the trace streams except for the mode
+//! coordinate.  This is the Rust face of the CI `event-equivalence` gate
+//! (which `cmp`s the normalised JSONL bytes the same way).
 
 use selfsim_campaign::{
     merge_shards, Campaign, EnvModel, ExecutionMode, Registry, ScenarioGrid, ShardSpec,
     TopologyFamily, TrialRecord,
 };
 
-/// A grid over the cells the equivalence claim covers: both agreeing
-/// algorithm shapes (value-adopting and position-permuting), two topology
-/// families, a static environment, no cooldown.
+/// A grid over the cells the equivalence claim covers: both algorithm
+/// shapes (value-adopting and position-permuting), two topology families,
+/// every builtin environment model.
 fn grid(mode: ExecutionMode) -> Campaign {
     let registry = Registry::builtin();
     let algorithms = ["minimum", "sum", "sorting"]
@@ -22,7 +22,18 @@ fn grid(mode: ExecutionMode) -> Campaign {
     let scenarios = ScenarioGrid::new()
         .algorithms(algorithms)
         .topologies([TopologyFamily::Ring, TopologyFamily::Complete])
-        .envs([EnvModel::Static])
+        .envs(
+            [
+                "static",
+                "churn",
+                "markov",
+                "partition",
+                "crash",
+                "adversary",
+                "churn+crash",
+            ]
+            .map(|name| EnvModel::parse(name).expect("builtin environment")),
+        )
         .modes([mode])
         .sizes([8])
         .trials(3)
@@ -31,24 +42,37 @@ fn grid(mode: ExecutionMode) -> Campaign {
     Campaign::new(scenarios).seed(42).threads(2)
 }
 
-fn records(campaign: &Campaign) -> Vec<TrialRecord> {
+/// The campaign's records, parsed, and its trace stream as text.
+fn records_and_trace(campaign: &Campaign) -> (Vec<TrialRecord>, String) {
     let mut bytes = Vec::new();
-    campaign.stream_to(&mut bytes).expect("stream to memory");
-    String::from_utf8(bytes)
+    let mut trace = Vec::new();
+    campaign
+        .stream_with_trace(&mut bytes, &mut trace, |_, _| {})
+        .expect("stream to memory");
+    let records = String::from_utf8(bytes)
         .expect("JSONL is UTF-8")
         .lines()
         .map(|line| TrialRecord::from_jsonl_line(line).expect("record parses"))
-        .collect()
+        .collect();
+    (records, String::from_utf8(trace).expect("JSONL is UTF-8"))
 }
 
 #[test]
 fn event_records_equal_sync_records_after_mode_normalisation() {
-    let sync = records(&grid(ExecutionMode::sync()));
-    let event = records(&grid(ExecutionMode::event()));
+    let (sync, sync_trace) = records_and_trace(&grid(ExecutionMode::Sync { cooldown: 3 }));
+    let (event, event_trace) = records_and_trace(&grid(ExecutionMode::Event { cooldown: 3 }));
     assert_eq!(sync.len(), event.len());
     assert!(!sync.is_empty());
+    // The traces differ only in the mode coordinate, event order included.
+    assert!(sync_trace.contains("\"group-step\""));
+    assert_eq!(
+        event_trace
+            .replace("/event(cd=3)\"", "/sync(cd=3)\"")
+            .replace("\"mode\":\"event(cd=3)\"", "\"mode\":\"sync(cd=3)\""),
+        sync_trace
+    );
     for (s, e) in sync.iter().zip(&event) {
-        assert_eq!(e.mode, "event");
+        assert_eq!(e.mode, "event(cd=3)");
         assert_eq!(e.scenario, s.scenario.replace("/sync", "/event"));
         // The seed anchoring: the event cell drew the sync cell's stream.
         assert_eq!(e.seed, s.seed, "{}", s.scenario);

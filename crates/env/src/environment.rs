@@ -825,7 +825,10 @@ mod tests {
         let mut r = rng();
         for _ in 0..10 {
             let s = env.step(&mut r);
-            assert!(s.is_fully_connected());
+            assert_eq!(
+                s.groups(),
+                vec![env.topology().agents().collect::<Vec<_>>()]
+            );
             assert_eq!(s.enabled_edges().len(), 5);
         }
         assert_eq!(env.name(), "static");
@@ -911,12 +914,12 @@ mod tests {
         let mut r = rng();
         let mut merged_steps = Vec::new();
         for step in 0..8 {
-            let s = env.step(&mut r);
-            if s.is_fully_connected() {
+            let groups = env.step(&mut r).groups();
+            if groups.len() == 1 && groups[0].len() == 6 {
                 merged_steps.push(step);
             } else {
                 // During partitioned phases there are exactly two groups.
-                assert_eq!(s.groups().len(), 2);
+                assert_eq!(groups.len(), 2);
             }
         }
         assert_eq!(merged_steps, vec![3, 7]);
@@ -945,7 +948,7 @@ mod tests {
         let mut env = CrashRestartEnv::new(Topology::complete(5), 0.0, 1.0);
         let s = env.step(&mut rng());
         assert_eq!(s.enabled_agents().len(), 5);
-        assert!(s.is_fully_connected());
+        assert_eq!(s.groups(), vec![(0..5).map(AgentId).collect::<Vec<_>>()]);
     }
 
     #[test]

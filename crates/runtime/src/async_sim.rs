@@ -10,7 +10,7 @@ use selfsim_env::{AgentId, Environment};
 use selfsim_temporal::Trace;
 use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{usable_edges, DeliveryDecision, DeliveryRule, SimulationReport};
+use crate::{DeliveryDecision, DeliveryRule, SimulationReport};
 
 /// Configuration of an [`AsyncSimulator`] run.
 #[derive(Clone, Debug)]
@@ -191,7 +191,7 @@ impl AsyncSimulator {
         );
         let mut env_trace = Trace::new();
         let mut state_trace = Vec::new();
-        // Incremental multiset view of `state`; see `SyncSimulator::run`.
+        // Incremental multiset view of `state`; see `EventSimulator::run`.
         // `state` is still `S(0)` here, so the cached initial multiset is
         // exactly the view to start from.
         let mut global = system.initial_multiset().clone();
@@ -346,6 +346,16 @@ impl AsyncSimulator {
             events: events.into_events(),
         }
     }
+}
+
+/// Edges of `state` whose endpoints can actually communicate right now —
+/// the connectivity digest recorded by `env-transition` trace events.
+fn usable_edges(state: &selfsim_env::EnvState) -> usize {
+    state
+        .enabled_edges()
+        .iter()
+        .filter(|edge| state.can_communicate(edge.lo(), edge.hi()))
+        .count()
 }
 
 #[cfg(test)]

@@ -5,12 +5,13 @@
 //! of a partition takes one collaborative step).  This crate provides three
 //! executable realisations of that system:
 //!
-//! * [`SyncSimulator`] — the direct, round-based realisation: at every round
-//!   the environment produces a new [`selfsim_env::EnvState`], the induced
-//!   partition (connected components of the enabled subgraph) is computed,
-//!   and every group executes one step of the algorithm's group relation
-//!   `R`.  This is the semantics used for all correctness claims and most
-//!   experiments.
+//! * [`SyncSimulator`] — the round-based semantics used for all correctness
+//!   claims and most experiments: at every round the environment produces
+//!   a new [`selfsim_env::EnvState`], the induced partition (connected
+//!   components of the enabled subgraph) is formed, and every group
+//!   executes one step of the algorithm's group relation `R`.  It is the
+//!   event engine below under the synchronous column conventions: the
+//!   environment's bare name, and no queue counters.
 //! * [`AsyncSimulator`] — a discrete-event, message-passing realisation in
 //!   the spirit of the remark at the end of §4.5: agents interact pairwise
 //!   when a (possibly delayed, possibly dropped) message is delivered over
@@ -21,13 +22,14 @@
 //!   due, which over environments with connectivity windows shorter than
 //!   the message latency decides convergence itself (see the
 //!   `delivery` module docs and experiment E14).
-//! * [`EventSimulator`] — the synchronous semantics driven from a
-//!   deterministic priority queue of environment and interaction events,
-//!   with delta-based connectivity updates
+//! * [`EventSimulator`] — the one round engine: the synchronous semantics
+//!   driven from a deterministic priority queue of environment and
+//!   interaction events, with delta-based connectivity updates
 //!   ([`selfsim_env::Environment::step_delta`]) and sparse interaction
 //!   scheduling, so idle agents cost nothing and million-agent systems stay
-//!   tractable.  On every cell it measures exactly what [`SyncSimulator`]
-//!   measures (the `event` module docs state the guarantee precisely).
+//!   tractable.  Its reports carry the event columns (`event/<env>`,
+//!   events processed, peak queue depth); everything else is exactly what
+//!   the dense round loop in `tests/oracle` reports, event order included.
 //!
 //! All simulators are deterministic given a seed, record
 //! [`selfsim_trace::RunMetrics`], optionally keep the full environment and
@@ -56,12 +58,10 @@ pub use mode::{ExecutionMode, Runtime};
 pub use report::SimulationReport;
 pub use sync::{SyncConfig, SyncSimulator};
 
-/// Edges of `state` whose endpoints can actually communicate right now —
-/// the connectivity digest recorded by `env-transition` trace events.
-pub(crate) fn usable_edges(state: &selfsim_env::EnvState) -> usize {
-    state
-        .enabled_edges()
-        .iter()
-        .filter(|edge| state.can_communicate(edge.lo(), edge.hi()))
-        .count()
-}
+// The round oracle is written against the public API, so the unit tests
+// that share it name this crate the way the integration tests do.
+#[cfg(test)]
+extern crate self as selfsim_runtime;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;

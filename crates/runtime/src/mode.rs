@@ -17,12 +17,14 @@ use crate::{
 };
 
 /// A runtime that can execute a self-similar system under an environment —
-/// the common face of [`SyncSimulator`] and [`AsyncSimulator`].
+/// the common face of [`SyncSimulator`], [`EventSimulator`] and
+/// [`AsyncSimulator`].
 ///
 /// Object-safe so that callers generic only in the *state* type can hold a
 /// `Box<dyn Runtime<S>>` chosen at run time from an [`ExecutionMode`].
 pub trait Runtime<S: Ord + Clone + std::fmt::Debug> {
-    /// Short runtime name (`"sync"` / `"async"`), used in reports.
+    /// Short runtime name (`"sync"`, `"event"` or `"async"`), used in
+    /// reports.
     fn mode_name(&self) -> &'static str;
 
     /// Runs `system` under `environment` until convergence or the budget
@@ -89,10 +91,10 @@ pub enum ExecutionMode {
         /// campaign's baseline adapters) ignore it.
         cooldown: usize,
     },
-    /// Event-driven execution on [`EventSimulator`]: the same round
-    /// semantics as [`ExecutionMode::Sync`], driven from a deterministic
-    /// priority queue with delta-based connectivity and sparse interaction
-    /// scheduling, so idle agents cost nothing.
+    /// Event-driven execution on [`EventSimulator`]: the same rounds on the
+    /// same engine as [`ExecutionMode::Sync`], reported with the queue's
+    /// own columns (`event/` environment prefix, events processed, peak
+    /// queue depth).
     Event {
         /// Extra rounds to run *after* convergence is first detected; the
         /// same knob (and the same semantics) as the sync cooldown.

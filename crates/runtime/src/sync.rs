@@ -1,14 +1,10 @@
-//! The round-based (synchronous) simulator.
+//! The synchronous simulator: the round engine under the synchronous
+//! reporting conventions.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use selfsim_core::{SelfSimilarSystem, StepScratch};
+use selfsim_core::SelfSimilarSystem;
 use selfsim_env::Environment;
-use selfsim_temporal::Trace;
-use selfsim_trace::{EventLog, RunMetrics, TraceEvent};
 
-use crate::{usable_edges, SimulationReport};
+use crate::{EventSimulator, SimulationReport};
 
 /// Configuration of a [`SyncSimulator`] run.
 #[derive(Clone, Debug)]
@@ -23,10 +19,12 @@ pub struct SyncConfig {
     /// identical.
     pub seed: u64,
     /// When `true`, the full environment and agent-state traces are kept in
-    /// the report (needed by the auditing tests; costs memory on long runs).
+    /// the report (needed by the auditing tests; costs memory on long runs,
+    /// and forces symbolic fully-enabled states to be materialised).
     pub record_traces: bool,
-    /// When `true`, the run records a structured [`TraceEvent`] stream
-    /// (env transitions, group steps, convergence changes) in the report.
+    /// When `true`, the run records a structured
+    /// [`TraceEvent`](selfsim_trace::TraceEvent) stream (env transitions,
+    /// group steps in partition order, convergence changes) in the report.
     /// When `false` (the default) event recording is a single branch per
     /// would-be event and allocates nothing.
     pub record_events: bool,
@@ -57,8 +55,7 @@ impl SyncConfig {
     }
 }
 
-/// The synchronous, round-based realisation of the paper's transition
-/// system.
+/// The synchronous realisation of the paper's transition system.
 ///
 /// Each round performs one environment transition followed by one agent
 /// transition: the environment produces the next [`selfsim_env::EnvState`],
@@ -67,6 +64,10 @@ impl SyncConfig {
 /// Disabled agents belong to no group and keep their state, which is the
 /// paper's "a disabled process executes no actions and does not change
 /// state".
+///
+/// The rounds run on the event engine ([`EventSimulator`]); this face only
+/// reports the synchronous columns: the environment's bare name, and no
+/// `events_processed` or `peak_queue_depth`.
 pub struct SyncSimulator {
     config: SyncConfig,
 }
@@ -103,125 +104,11 @@ impl SyncSimulator {
         S: Ord + Clone + std::fmt::Debug,
         E: Environment + ?Sized,
     {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut state = system.initial_state().clone();
-        let mut metrics = RunMetrics::new(system.name(), environment.name(), system.agent_count());
-        let mut env_trace = Trace::new();
-        let mut state_trace = Vec::new();
-
-        // The whole-system multiset is maintained incrementally by the
-        // group steps; `h` folds it in ascending value order either way, so
-        // the objective trajectory is byte-identical to recomputing the
-        // multiset from the positional state every round.
-        // `state` is still `S(0)` here, so the cached initial multiset is
-        // exactly the view to start from.
-        let mut global = system.initial_multiset().clone();
-        let mut scratch = StepScratch::new();
-        metrics
-            .objective_trajectory
-            .push(system.objective_of(&global));
-        if self.config.record_traces {
-            state_trace.push(global.clone());
-        }
-
-        let mut converged_at: Option<usize> = None;
-        let mut cooldown_left = self.config.cooldown_rounds;
-        let mut events = if self.config.record_events {
-            EventLog::enabled()
-        } else {
-            EventLog::disabled()
-        };
-        // Connected components only change when the enabled sets change, so
-        // the partition from the previous round is reused whenever the
-        // environment repeats itself (always under `StaticEnv`, most rounds
-        // under slow Markov links or a silent adversary).
-        let mut groups_memo: Option<(selfsim_env::EnvState, Vec<Vec<selfsim_env::AgentId>>)> = None;
-
-        for round in 0..self.config.max_rounds {
-            let env_state = environment.step(&mut rng);
-            if self.config.record_traces {
-                env_trace.push(env_state.clone());
-            }
-            events.emit(|| TraceEvent::EnvTransition {
-                tick: (round + 1) as u64,
-                edges: usable_edges(&env_state),
-            });
-            let reusable = groups_memo
-                .as_ref()
-                .is_some_and(|(prev, _)| prev.same_connectivity(&env_state));
-            if !reusable {
-                let fresh = env_state.groups();
-                groups_memo = Some((env_state, fresh));
-            }
-            let groups = &groups_memo.as_ref().expect("memo just filled").1;
-
-            let mut round_messages = 0usize;
-            let mut changed_groups = 0usize;
-            for group in groups {
-                metrics.group_steps += 1;
-                // A k-agent collaborative step costs k messages in this
-                // accounting (each member contributes its state once).
-                round_messages += group.len();
-                let changed = system
-                    .apply_group_step_with(
-                        &mut state,
-                        group,
-                        &mut rng,
-                        &mut scratch,
-                        Some(&mut global),
-                    )
-                    .multiset_changed;
-                if changed {
-                    changed_groups += 1;
-                }
-                events.emit(|| TraceEvent::GroupStep {
-                    tick: (round + 1) as u64,
-                    size: group.len(),
-                    changed,
-                });
-            }
-            metrics.effective_group_steps += changed_groups;
-            metrics.messages += round_messages;
-            metrics.rounds_executed = round + 1;
-            metrics
-                .objective_trajectory
-                .push(system.objective_of(&global));
-            if self.config.record_traces {
-                state_trace.push(global.clone());
-            }
-
-            if system.is_converged_multiset(&global) {
-                if converged_at.is_none() {
-                    converged_at = Some(round + 1);
-                    events.emit(|| TraceEvent::ConvergenceEntered {
-                        tick: (round + 1) as u64,
-                    });
-                }
-                if cooldown_left == 0 {
-                    break;
-                }
-                cooldown_left -= 1;
-            } else {
-                if converged_at.is_some() {
-                    events.emit(|| TraceEvent::ConvergenceLeft {
-                        tick: (round + 1) as u64,
-                    });
-                }
-                // If a later round leaves the target state the algorithm is
-                // broken; reset so the reported number is honest.
-                converged_at = None;
-                cooldown_left = self.config.cooldown_rounds;
-            }
-        }
-
-        metrics.rounds_to_convergence = converged_at;
-        SimulationReport {
-            metrics,
-            final_state: state,
-            env_trace,
-            state_trace,
-            events: events.into_events(),
-        }
+        let mut report = EventSimulator::new(self.config.clone()).run(system, environment);
+        report.metrics.environment = environment.name().into();
+        report.metrics.events_processed = 0;
+        report.metrics.peak_queue_depth = 0;
+        report
     }
 
     /// Runs the same system/environment pair over several seeds, returning
